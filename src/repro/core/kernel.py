@@ -39,6 +39,7 @@ pins this down).  Verify what a process is actually running with
 
 from __future__ import annotations
 
+import importlib
 import os
 from typing import Dict, Optional
 
@@ -48,7 +49,11 @@ KERNEL_ENV = "REPRO_KERNEL"
 _BACKENDS = ("auto", "python", "native")
 
 try:
-    from repro.core import _kernel as _native
+    # By module name, not ``from repro.core import _kernel``: this module is
+    # imported while ``repro.core`` is still initialising, and the
+    # from-import would then report a circular import instead of the missing
+    # extension.
+    _native = importlib.import_module("repro.core._kernel")
 except ImportError as exc:  # pragma: no cover - depends on the build
     _native = None
     _IMPORT_ERROR: Optional[str] = str(exc)

@@ -16,6 +16,14 @@ The module also builds the specific predicates used by the Theorem 4.1
 construction: ``U_{R(x̄)}`` (tuples homomorphic to an atom), ``B_{S(ȳ),T(z̄)}``
 (pairs agreeing on the shared variables), their generalisations to q-tree
 variables, and the self-join variants of Lemmas B.3/B.4.
+
+Every key function runs once per probe or hash-table update of Algorithm 1,
+so the equality predicates do their static work when they are built: each
+side is a per-relation *projection table* holding the exact arity (or the
+largest position read), the key positions with a single-position fast path
+and, for the HCQ-lowered predicates (:class:`AtomKeyEquality`), the atom
+left to match only when it has constants or repeated variables.  A key call
+is then one dictionary lookup, one comparison and one tuple display.
 """
 
 from __future__ import annotations
@@ -477,24 +485,102 @@ def _projection_fast_table(spec: Mapping[str, Tup[int, ...]]):
     return table
 
 
-def _shared_variable_key(atom: Atom, shared: Sequence[Variable], tup: Tuple) -> Optional[Key]:
-    """Project ``tup`` (matched against ``atom``) onto the shared variables."""
-    if not atom.matches(tup):
-        return None
-    values = []
+def _key_positions(atoms: Sequence[Atom], shared: Sequence[Variable]) -> Tup[int, ...]:
+    """For each shared variable, its first position in the first atom carrying it.
+
+    When a tuple matches the atom (or the unified atom of a self-join group),
+    every occurrence of a variable carries the same value, so the first
+    position is as good a projection target as any.
+    """
+    positions = []
     for variable in shared:
-        positions = atom.positions_of(variable)
-        if not positions:
-            # The variable does not occur in this atom: the predicate places
-            # no constraint through it; encode with a wildcard component.
-            values.append(("*",))
+        for atom in atoms:
+            if variable in atom.terms:
+                positions.append(atom.terms.index(variable))
+                break
         else:
-            values.append(tup.value(positions[0]))
-    return tuple(values)
+            raise ValueError(f"shared variable {variable} occurs in none of {list(atoms)}")
+    return tuple(positions)
+
+
+def _atom_key_table(sides: Sequence[Tup[Atom, Sequence[Atom]]], shared: Sequence[Variable]):
+    """Per-relation ``(arity, single position or None, positions, residual, next)``.
+
+    ``sides`` lists ``(atom, group)`` pairs in first-match-wins order: a
+    tuple must match ``atom``, and its key reads the shared variables at the
+    positions :func:`_key_positions` finds in ``group``.  ``arity`` is exact
+    (an atom only matches tuples of its own arity); ``single`` marks
+    one-variable keys, built with a tuple display; ``residual`` is the atom
+    itself when it has constants or repeated variables (its ``matches`` is
+    then still needed) and ``None`` otherwise; ``next`` is the entry of the
+    next atom of the same relation, or ``None``.
+    """
+    table: Dict[str, tuple] = {}
+    for atom, group in reversed(sides):
+        positions = _key_positions(group, shared)
+        single = positions[0] if len(positions) == 1 else None
+        residual = None if atom._trivially_matched else atom
+        table[atom.relation] = (
+            atom.arity, single, positions, residual, table.get(atom.relation)
+        )
+    return table
+
+
+class AtomKeyEquality(EqualityPredicate):
+    """Equality predicates whose keys project tuples matched against atoms.
+
+    The HCQ-lowered predicates below differ only in which atoms each side
+    matches and at which positions the shared variables sit.  Both are fixed
+    when the predicate is built, so each constructor stores them as two
+    per-relation tables (see :func:`_atom_key_table`) and key extraction is a
+    lookup, an arity comparison, the residual ``matches`` only for atoms with
+    constants or repeated variables, and a projection.  The key is the tuple
+    of the shared variables' values in name order (``()`` when no variable is
+    shared); a tuple no atom of the side matches has no key.
+    """
+
+    _left_table: Mapping[str, tuple]
+    _right_table: Mapping[str, tuple]
+
+    def _build_tables(
+        self,
+        left: Sequence[Tup[Atom, Sequence[Atom]]],
+        right: Sequence[Tup[Atom, Sequence[Atom]]],
+        shared: Sequence[Variable],
+    ) -> None:
+        """Store both sides' tables (see :func:`_atom_key_table` for ``left``/``right``)."""
+        object.__setattr__(self, "_left_table", _atom_key_table(left, shared))
+        object.__setattr__(self, "_right_table", _atom_key_table(right, shared))
+
+    # left_key/right_key are deliberately twin bodies over the two tables (a
+    # shared helper would put one more call on the evaluator's hottest path);
+    # edit both together.  Unpacking rebinds ``entry`` to the next atom of the
+    # same relation, so the first matching atom wins.
+    def left_key(self, tup: Tuple) -> Optional[Key]:
+        entry = self._left_table.get(tup.relation)
+        values = tup.values
+        while entry is not None:
+            arity, single, positions, residual, entry = entry
+            if len(values) == arity and (residual is None or residual.matches(tup)):
+                if single is not None:
+                    return (values[single],)
+                return tuple([values[i] for i in positions])
+        return None
+
+    def right_key(self, tup: Tuple) -> Optional[Key]:
+        entry = self._right_table.get(tup.relation)
+        values = tup.values
+        while entry is not None:
+            arity, single, positions, residual, entry = entry
+            if len(values) == arity and (residual is None or residual.matches(tup)):
+                if single is not None:
+                    return (values[single],)
+                return tuple([values[i] for i in positions])
+        return None
 
 
 @dataclass(frozen=True)
-class AtomJoinEquality(EqualityPredicate):
+class AtomJoinEquality(AtomKeyEquality):
     """``B_{S(ȳ), T(z̄)}``: pairs of tuples consistent with a single homomorphism.
 
     The key is the projection onto the variables shared by the two atoms
@@ -511,26 +597,22 @@ class AtomJoinEquality(EqualityPredicate):
         object.__setattr__(self, "right_atom", right_atom)
         shared = sorted(left_atom.variables() & right_atom.variables(), key=lambda v: v.name)
         object.__setattr__(self, "shared", tuple(shared))
-
-    def left_key(self, tup: Tuple) -> Optional[Key]:
-        return _shared_variable_key(self.left_atom, self.shared, tup)
-
-    def right_key(self, tup: Tuple) -> Optional[Key]:
-        return _shared_variable_key(self.right_atom, self.shared, tup)
+        self._build_tables([(left_atom, [left_atom])], [(right_atom, [right_atom])], shared)
 
     def __str__(self) -> str:
         return f"B[{self.left_atom} ~ {self.right_atom}]"
 
 
 @dataclass(frozen=True)
-class VariableAtomEquality(EqualityPredicate):
+class VariableAtomEquality(AtomKeyEquality):
     """``B_{x, S(ȳ)}``: join of the q-tree subtree below ``x`` with atom ``S(ȳ)``.
 
     The left side accepts any tuple matching one of the atoms hanging below the
-    q-tree variable ``x`` (the paper's ``⋃_{i ∈ desc(x)} B_{R_i(x̄_i), S(ȳ)}``).
-    Hierarchy guarantees every such atom shares the *same* variable set with
-    ``S(ȳ)``, so the union of equality predicates is itself an equality
-    predicate; the constructor checks this defensively.
+    q-tree variable ``x`` (the paper's ``⋃_{i ∈ desc(x)} B_{R_i(x̄_i), S(ȳ)}``);
+    the first atom in ``left_atoms`` that matches gives the key.  Hierarchy
+    guarantees every such atom shares the *same* variable set with ``S(ȳ)``,
+    so the union of equality predicates is itself an equality predicate; the
+    constructor checks this defensively.
     """
 
     left_atoms: Tup[Atom, ...]
@@ -552,16 +634,9 @@ class VariableAtomEquality(EqualityPredicate):
             )
         shared = sorted(next(iter(shared_sets)), key=lambda v: v.name)
         object.__setattr__(self, "shared", tuple(shared))
-
-    def left_key(self, tup: Tuple) -> Optional[Key]:
-        for atom in self.left_atoms:
-            key = _shared_variable_key(atom, self.shared, tup)
-            if key is not None:
-                return key
-        return None
-
-    def right_key(self, tup: Tuple) -> Optional[Key]:
-        return _shared_variable_key(self.right_atom, self.shared, tup)
+        self._build_tables(
+            [(atom, [atom]) for atom in left_atoms], [(right_atom, [right_atom])], shared
+        )
 
     def __str__(self) -> str:
         left = "|".join(str(a) for a in self.left_atoms)
@@ -702,22 +777,8 @@ def _group_variables(atoms: Sequence[Atom]) -> FrozenSet[Variable]:
     return frozenset(result)
 
 
-def _first_position_of(atoms: Sequence[Atom], variable: Variable) -> Optional[int]:
-    """First attribute position where ``variable`` occurs in any atom of the group.
-
-    When the group's tuples match the unified atom, every occurrence of the
-    variable carries the same value, so any position works as the projection
-    target.
-    """
-    for atom in atoms:
-        positions = atom.positions_of(variable)
-        if positions:
-            return positions[0]
-    return None
-
-
 @dataclass(frozen=True)
-class SelfJoinEquality(EqualityPredicate):
+class SelfJoinEquality(AtomKeyEquality):
     """``B_{A1, A2}`` of Lemma B.4: consistency of two (self-join) atom groups.
 
     ``(t1, t2) ∈ B`` iff a single homomorphism maps every atom of ``A1`` onto
@@ -743,23 +804,11 @@ class SelfJoinEquality(EqualityPredicate):
             key=lambda v: v.name,
         )
         object.__setattr__(self, "shared", tuple(shared))
-
-    def _key(self, atoms: Tup[Atom, ...], unified: Atom, tup: Tuple) -> Optional[Key]:
-        if not unified.matches(tup):
-            return None
-        values = []
-        for variable in self.shared:
-            position = _first_position_of(atoms, variable)
-            if position is None or position >= tup.arity:
-                return None
-            values.append(tup.value(position))
-        return tuple(values)
-
-    def left_key(self, tup: Tuple) -> Optional[Key]:
-        return self._key(self.left_atoms, self.left_unified, tup)
-
-    def right_key(self, tup: Tuple) -> Optional[Key]:
-        return self._key(self.right_atoms, self.right_unified, tup)
+        # Each side matches its unified atom; an unsatisfiable group's unified
+        # atom carries an impossible relation name, so it never matches.
+        self._build_tables(
+            [(self.left_unified, left_atoms)], [(self.right_unified, right_atoms)], shared
+        )
 
     def __str__(self) -> str:
         left = "&".join(str(a) for a in self.left_atoms)

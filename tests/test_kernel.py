@@ -121,6 +121,12 @@ class TestResolveKernel:
         else:
             assert info["native_module"] is None
 
+    @pytest.mark.skipif(native_available(), reason="native kernel extension is built")
+    def test_import_error_names_the_missing_extension(self):
+        message = backend_info()["import_error"]
+        assert "circular import" not in message
+        assert "repro.core._kernel" in message
+
 
 @needs_native
 class TestForcedFallback:

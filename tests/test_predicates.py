@@ -1,7 +1,11 @@
 """Tests for unary and binary predicates (repro.core.predicates)."""
 
-import pytest
+import pickle
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.core.hcq_to_pcea import hcq_to_pcea
 from repro.core.predicates import (
     AtomJoinEquality,
     AtomUnaryPredicate,
@@ -17,7 +21,7 @@ from repro.core.predicates import (
     VariableAtomEquality,
     unify_self_join_atoms,
 )
-from repro.cq.query import Atom, Variable
+from repro.cq.query import Atom, Variable, parse_query
 from repro.cq.schema import Tuple
 
 X, Y, Z, V = Variable("x"), Variable("y"), Variable("z"), Variable("v")
@@ -283,3 +287,224 @@ class TestConstantGuards:
         assert TruePredicate().constant_guard() is None
         assert RelationPredicate("T").constant_guard() is None
         assert LambdaUnaryPredicate(lambda t: True).constant_guard() is None
+
+
+# ------------------------------------------------------- differential key tests
+# The lowered HCQ predicates precompute their keys as per-relation tables.  The
+# oracles below derive each key on the call itself: match the atom, then look
+# up the first position of every shared variable.  (The ``("*",)`` wildcard
+# branch cannot fire: the constructors only share variables every atom has.)
+RELATIONS = ("R", "S")
+VARIABLES = (X, Y, Z, V)
+PRIVATE = (Variable("p"), Variable("q"))
+CONSTANTS = (0, 1)
+VALUES = st.integers(min_value=0, max_value=2)
+
+
+def _oracle_shared_variable_key(atom, shared, tup):
+    if not atom.matches(tup):
+        return None
+    values = []
+    for variable in shared:
+        positions = atom.positions_of(variable)
+        if not positions:
+            values.append(("*",))
+        else:
+            values.append(tup.value(positions[0]))
+    return tuple(values)
+
+
+def _oracle_first_position_of(atoms, variable):
+    for atom in atoms:
+        positions = atom.positions_of(variable)
+        if positions:
+            return positions[0]
+    return None
+
+
+def _oracle_self_join_key(atoms, unified, shared, tup):
+    if not unified.matches(tup):
+        return None
+    values = []
+    for variable in shared:
+        position = _oracle_first_position_of(atoms, variable)
+        if position is None or position >= tup.arity:
+            return None
+        values.append(tup.value(position))
+    return tuple(values)
+
+
+def _homomorphism_exists(pairs):
+    """Brute force: one assignment maps every atom onto its paired tuple."""
+    assignment = {}
+    for atom, tup in pairs:
+        if atom.relation != tup.relation or atom.arity != tup.arity:
+            return False
+        for term, value in zip(atom.terms, tup.values):
+            if isinstance(term, Variable):
+                if assignment.setdefault(term, value) != value:
+                    return False
+            elif term != value:
+                return False
+    return True
+
+
+def _atoms(relation=st.sampled_from(RELATIONS), terms=st.sampled_from(VARIABLES + CONSTANTS)):
+    return st.builds(
+        lambda rel, ts: Atom(rel, tuple(ts)), relation, st.lists(terms, max_size=3)
+    )
+
+
+def _random_tuples():
+    return st.builds(
+        lambda rel, vs: Tuple(rel, tuple(vs)),
+        st.sampled_from(RELATIONS + ("T",)),
+        st.lists(VALUES, max_size=3),
+    )
+
+
+def _tuples_near(atoms):
+    """Random tuples (wrong relation or arity included) and images of ``atoms``."""
+
+    def image(atom, values):
+        assignment = {v: values[i % len(values)] for i, v in enumerate(sorted(atom.variables()))}
+        return atom.instantiate(assignment)
+
+    images = st.builds(
+        image, st.sampled_from(list(atoms)), st.lists(VALUES, min_size=1, max_size=4)
+    )
+    return st.one_of(_random_tuples(), images)
+
+
+class TestLoweredEqualityDifferential:
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_atom_join_equality(self, data):
+        left, right = data.draw(_atoms()), data.draw(_atoms())
+        eq = AtomJoinEquality(left, right)
+        first = data.draw(_tuples_near([left, right]))
+        second = data.draw(_tuples_near([left, right]))
+        for tup in (first, second):
+            assert eq.left_key(tup) == _oracle_shared_variable_key(left, eq.shared, tup)
+            assert eq.right_key(tup) == _oracle_shared_variable_key(right, eq.shared, tup)
+        assert eq.holds(first, second) == _homomorphism_exists([(left, first), (right, second)])
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_variable_atom_equality_first_match_wins(self, data):
+        right = data.draw(_atoms())
+        shared = data.draw(
+            st.lists(st.sampled_from(sorted(right.variables())), unique=True)
+            if right.variables()
+            else st.just([])
+        )
+        extra = st.sampled_from(tuple(shared) + PRIVATE + CONSTANTS)
+
+        def left_atom(relation, extras, order):
+            terms = list(shared) + extras
+            return Atom(relation, tuple(terms[i] for i in order))
+
+        lefts = []
+        for _ in range(data.draw(st.integers(min_value=1, max_value=3))):
+            extras = data.draw(st.lists(extra, max_size=2))
+            order = data.draw(st.permutations(range(len(shared) + len(extras))))
+            lefts.append(left_atom(data.draw(st.sampled_from(RELATIONS)), extras, order))
+        eq = VariableAtomEquality(lefts, right)
+        first = data.draw(_tuples_near(lefts + [right]))
+        second = data.draw(_tuples_near(lefts + [right]))
+        for tup in (first, second):
+            oracle = next(
+                (
+                    key
+                    for key in (_oracle_shared_variable_key(a, eq.shared, tup) for a in lefts)
+                    if key is not None
+                ),
+                None,
+            )
+            assert eq.left_key(tup) == oracle
+            assert eq.right_key(tup) == _oracle_shared_variable_key(right, eq.shared, tup)
+        matched = next((a for a in lefts if a.matches(first)), None)
+        expected = matched is not None and _homomorphism_exists([(matched, first), (right, second)])
+        assert eq.holds(first, second) == expected
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_self_join_equality(self, data):
+        def group():
+            relation = data.draw(st.sampled_from(RELATIONS))
+            arity = data.draw(st.integers(min_value=0, max_value=3))
+            terms = st.lists(
+                st.sampled_from(VARIABLES + CONSTANTS), min_size=arity, max_size=arity
+            )
+            return [
+                Atom(relation, tuple(data.draw(terms)))
+                for _ in range(data.draw(st.integers(min_value=1, max_value=3)))
+            ]
+
+        left, right = group(), group()
+        eq = SelfJoinEquality(left, right)
+        # Images of the unified atoms hit the merged positions often; an
+        # unsatisfiable group's unified atom names an impossible relation, so
+        # it is no image source (stream tuples never carry that name).
+        unified = [u for u in (eq.left_unified, eq.right_unified) if u.relation in RELATIONS]
+        first = data.draw(_tuples_near(left + right + unified))
+        second = data.draw(_tuples_near(left + right + unified))
+        for tup in (first, second):
+            assert eq.left_key(tup) == _oracle_self_join_key(left, eq.left_unified, eq.shared, tup)
+            assert eq.right_key(tup) == _oracle_self_join_key(
+                right, eq.right_unified, eq.shared, tup
+            )
+        expected = _homomorphism_exists([(a, first) for a in left] + [(a, second) for a in right])
+        assert eq.holds(first, second) == expected
+
+    def test_self_join_equality_with_unsatisfiable_group(self):
+        eq = SelfJoinEquality([Atom("R", (0, X)), Atom("R", (1, X))], [Atom("S", (X,))])
+        for values in [(0, 5), (1, 5), (0, 0)]:
+            assert eq.left_key(Tuple("R", values)) is None
+            assert not eq.holds(Tuple("R", values), Tuple("S", (5,)))
+        assert eq.right_key(Tuple("S", (5,))) == (5,)
+
+
+class TestLoweredEqualityIdentity:
+    QUERIES = [
+        "Q(x, y) <- T(x), S(x, y), R(x, y)",
+        "Q(x, y, z) <- R(x, y), R(x, z), S(x)",
+        "Q(x, y) <- R(x, y), R(y, x), S(x)",
+        "Q(x, y) <- R(x, y), S(x, 3), T(x, x)",
+    ]
+
+    @staticmethod
+    def _binaries(text):
+        pcea = hcq_to_pcea(parse_query(text))
+        return [
+            predicate
+            for transition in pcea.transitions
+            for predicate in transition.binaries.values()
+        ]
+
+    @staticmethod
+    def _probe_tuples():
+        return [
+            Tuple(relation, values)
+            for relation in ("R", "S", "T")
+            for values in [(1,), (3,), (1, 1), (1, 2), (1, 3), (2, 2, 2)]
+        ]
+
+    @pytest.mark.parametrize("text", QUERIES)
+    def test_pickle_round_trip_keeps_equality_hash_and_keys(self, text):
+        predicates = self._binaries(text)
+        assert predicates
+        for predicate in predicates:
+            copy = pickle.loads(pickle.dumps(predicate))
+            assert copy == predicate
+            assert hash(copy) == hash(predicate)
+            for tup in self._probe_tuples():
+                assert copy.left_key(tup) == predicate.left_key(tup)
+                assert copy.right_key(tup) == predicate.right_key(tup)
+
+    @pytest.mark.parametrize("text", QUERIES)
+    def test_compiling_twice_gives_equal_predicates(self, text):
+        first, second = self._binaries(text), self._binaries(text)
+        assert len(first) == len(second)
+        assert set(first) == set(second)
+        assert {hash(p) for p in first} == {hash(p) for p in second}
