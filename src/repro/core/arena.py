@@ -90,9 +90,13 @@ per owned slot, O(1) amortised, no graph traversal) once
 2. its **external-reference count is zero**: no surviving run-index hash entry
    points into it.  The count is maintained by the evaluator's existing
    eviction sweep — incremented when an entry is registered in an expiry
-   bucket, decremented when that bucket is popped — so by the time a slab
-   expires, the sweep (which pops the bucket of the same ``max_start`` at the
-   same threshold) has already dropped every count it will ever drop.
+   bucket, decremented when that bucket is popped.  On the hierarchical
+   engines (Algorithm 1 and the multi-query engine) an entry's bucket is that
+   of its ``max_start``, so by the time a slab expires the sweep (which pops
+   that bucket at the same threshold) has already dropped every count it
+   will ever drop.  The general evaluator anchors expiry at a run's *newest*
+   position instead, which can lie after its ``max_start``; there the count
+   does hold expired slabs until the later bucket is popped.
 
 Slabs are released strictly in allocation order; because ``max_ms`` across
 slabs can lag the allocation position by at most one window, an expired slab

@@ -12,9 +12,23 @@ indexes that remove those scans:
   that cannot name their relations land in a *wildcard* group that is probed
   for every tuple, so the index is a pure over-approximation — firing
   behaviour is bit-for-bit identical to the full scan, only cheaper.
-* a **consumer index** mapping each state ``p`` to the transitions that read
-  from ``p`` (i.e. have ``p`` in their source set), so UpdateIndices only
-  touches the transitions that can consume the runs created this position.
+* a **consumer index** mapping each state ``p`` to the run-index *slots*
+  that read from ``p``, so UpdateIndices only touches the entries that can
+  consume the runs created this position.
+
+Run-index **slots** key the hash table ``H``.  Algorithm 1 stores partial runs
+once per consuming transition, but the consumers of a state often share the
+same left key: in the PCEA of a star, every arm state is read by the join
+transitions of all other arms, always keyed by the star variable.  The index
+therefore interns ``(source state id, left_signature)`` pairs
+(:meth:`~repro.core.predicates.EqualityPredicate.left_signature`) to dense
+slot ids; each transition probes ``(slot, right_key)`` through
+:attr:`CompiledTransition.probes`, and UpdateIndices updates
+``(slot, left_key)`` once per slot.  Every consumer of a slot would have
+received the same runs in the same order, so the shared entry is exactly each
+old per-transition entry, and outputs and their order are unchanged.
+Predicates without a left signature (non-equality joins, which only the
+general evaluator reads) get a slot of their own.
 
 States are also **interned to dense integer ids** at compile time.  Automaton
 states produced by the HCQ / pattern compilers are nested tuples containing
@@ -120,8 +134,9 @@ class CompiledTransition:
 
     ``joins`` fixes an iteration order over ``(source state, source id, binary
     predicate)`` triples so FireTransitions does not re-derive it from the
-    transition's mapping on every tuple; ``relations`` is the dispatch key
-    (``None`` for wildcards).
+    transition's mapping on every tuple; ``probes`` holds one ``(slot,
+    predicate)`` pair per join, in the same order, for the run-index
+    lookups; ``relations`` is the dispatch key (``None`` for wildcards).
     """
 
     __slots__ = (
@@ -129,6 +144,7 @@ class CompiledTransition:
         "transition",
         "unary",
         "joins",
+        "probes",
         "labels",
         "target",
         "target_id",
@@ -161,6 +177,7 @@ class CompiledTransition:
         self.target_id = -1
         self.is_final = False
         self.joins: Tup[Tup[State, int, object], ...] = ()
+        self.probes: Tup[Tup[int, object], ...] = ()
         # Adaptive-dispatch hit counter (repro.core.adaptive): bumped when
         # this transition leads a predicate group whose unary held, halved at
         # every flush.  Pure feedback — never read on a correctness path and
@@ -210,6 +227,12 @@ class TransitionDispatchIndex:
         self.guards = guards
         self.final = frozenset(final)
         self.state_ids: Dict[State, int] = {}
+        # Run-index slots: (source id, left signature) -> dense slot id.  A
+        # state's consumers are its distinct (slot, predicate) pairs in
+        # first-consumer order; any consumer's predicate serves, as the slot
+        # fixes the left key.
+        slot_ids: Dict[Hashable, int] = {}
+        consumers: Dict[int, List[Tup[int, object]]] = {}
         compiled: List[CompiledTransition] = []
         for i, transition in enumerate(transitions):
             c = CompiledTransition(i, transition)
@@ -219,7 +242,19 @@ class TransitionDispatchIndex:
                 (source, self._intern(source), transition.binaries[source])
                 for source in sorted(transition.sources, key=str)
             )
+            probes = []
+            for _, source_id, predicate in c.joins:
+                left_signature = getattr(predicate, "left_signature", None)
+                # A join that is not an equality predicate is never shared.
+                key = (source_id, left_signature()) if left_signature is not None else object()
+                slot = slot_ids.get(key)
+                if slot is None:
+                    slot = slot_ids[key] = len(slot_ids)
+                    consumers.setdefault(source_id, []).append((slot, predicate))
+                probes.append((slot, predicate))
+            c.probes = tuple(probes)
             compiled.append(c)
+        self.slot_count = len(slot_ids)
         self._all: Tup[CompiledTransition, ...] = tuple(compiled)
         self._wildcard: Tup[CompiledTransition, ...] = tuple(
             c for c in compiled if c.relations is None
@@ -256,12 +291,8 @@ class TransitionDispatchIndex:
                 buckets = build_guard_buckets(members)
                 if buckets is not None:
                     self._guarded[relation] = buckets
-        consumers: Dict[int, List[Tup[CompiledTransition, int, object]]] = {}
-        for c in compiled:
-            for _, source_id, predicate in c.joins:
-                consumers.setdefault(source_id, []).append((c, source_id, predicate))
-        self._consumers: Dict[int, Tup[Tup[CompiledTransition, int, object], ...]] = {
-            source_id: tuple(entries) for source_id, entries in consumers.items()
+        self._consumers: Dict[int, Tup[Tup[int, object], ...]] = {
+            source_id: tuple(slots) for source_id, slots in consumers.items()
         }
 
     def _intern(self, state: State) -> int:
@@ -292,11 +323,11 @@ class TransitionDispatchIndex:
             return self._by_relation.get(tup.relation, self._wildcard)
         return probe_guard_buckets(entry, tup, _transition_order)
 
-    def consumers_by_id(self, state_id: int) -> Tup[Tup[CompiledTransition, int, object], ...]:
-        """``(compiled transition, source id, binary predicate)`` triples reading the state."""
+    def consumers_by_id(self, state_id: int) -> Tup[Tup[int, object], ...]:
+        """The distinct ``(slot, predicate)`` pairs reading the state."""
         return self._consumers.get(state_id, ())
 
-    def consumers(self, state: State) -> Tup[Tup[CompiledTransition, int, object], ...]:
+    def consumers(self, state: State) -> Tup[Tup[int, object], ...]:
         """Like :meth:`consumers_by_id`, addressed by the original state."""
         state_id = self.state_ids.get(state)
         if state_id is None:

@@ -24,8 +24,16 @@ these costs, so the implementation should not pay them either):
   *candidate* transitions for the incoming tuple, via the compile-once
   :class:`~repro.core.dispatch.TransitionDispatchIndex` (grouped by relation
   name extracted from the unary predicates, plus a reverse ``state ->
-  consuming transitions`` map).  ``indexed=False`` restores the seed engine's
+  run-index slots`` map).  ``indexed=False`` restores the seed engine's
   full ``O(|Δ|)`` scans for ablation.
+* **Slot-keyed run index** — the paper's ``H`` holds one entry per consuming
+  transition; here an entry is keyed ``(slot, key)``, where a slot is one
+  ``(source state, left-key signature)`` pair interned by the dispatch index.
+  Consumers of a state that share their left key (every arm of a star reads
+  the other arms by the star variable) would hold identical entries, so one
+  shared entry replaces them: a run costs one key extraction, one union and
+  one expiry registration per slot instead of per consumer, with unchanged
+  outputs.
 * **Shared runtime core** — the stream position, the expiry-driven eviction
   sweep, the arena release protocol, batched ingestion and the statistics /
   memory introspection surface live in :mod:`repro.runtime`
@@ -192,9 +200,10 @@ class StreamingEvaluator(RuntimeBackedEngine):
         # registered query.
         self._runtime = StreamRuntime()
         self._lane = self._runtime.add_lane(EvictionLane(window, self.ds))
-        # H maps (transition index, source state, key) to ``(node, max_start)``
-        # where the node represents the union of all runs that reached that
-        # state with that join key.  max_start is cached in the pair so the
+        # H maps (slot, key) to ``(node, max_start)``, where a slot is a
+        # (source state, left-key signature) pair interned by the dispatch
+        # index and the node represents the union of all runs that reached
+        # that state with that join key.  max_start is cached in the pair so the
         # hot expiry checks never re-read it through the data structure (an
         # attribute read for object nodes, a slab-array read for arena ids).
         self._hash: Dict[Tup[int, State, Hashable], Tup[NodeRef, int]] = self._lane.hash
@@ -364,14 +373,14 @@ class StreamingEvaluator(RuntimeBackedEngine):
                     children = []
                     node_ms = position
                     feasible = True
-                    for _, source_id, predicate in compiled.joins:
+                    for slot, predicate in compiled.probes:
                         key = predicate.right_key(tup)
                         if stats is not None:
                             stats.hash_lookups += 1
                         if key is None:
                             feasible = False
                             break
-                        pair = hash_table.get((compiled.index, source_id, key))
+                        pair = hash_table.get((slot, key))
                         if pair is None or position - pair[1] > window:
                             feasible = False
                             break
@@ -404,14 +413,14 @@ class StreamingEvaluator(RuntimeBackedEngine):
                 children = []
                 node_ms = position
                 feasible = True
-                for _, source_id, predicate in compiled.joins:
+                for slot, predicate in compiled.probes:
                     key = predicate.right_key(tup)  # the current tuple is the later one
                     if stats is not None:
                         stats.hash_lookups += 1
                     if key is None:
                         feasible = False
                         break
-                    pair = hash_table.get((compiled.index, source_id, key))
+                    pair = hash_table.get((slot, key))
                     # ``ds.expired`` with the cached max_start: stored nodes
                     # are never bottom, and an expired (possibly released)
                     # node simply fails the window check.
@@ -439,18 +448,19 @@ class StreamingEvaluator(RuntimeBackedEngine):
                 if compiled.is_final:
                     final_nodes.append(node)
 
-        # UpdateIndices, restricted to the transitions that consume a state
-        # that actually received new runs this position.
+        # UpdateIndices, restricted to the slots that read a state that
+        # actually received new runs this position (one entry per slot, not
+        # per consuming transition).
         if new_nodes:
             buckets = runtime.buckets if self._evict else None
             add_ref = lane.add_ref
             lane_id = lane.lane_id
             for state_id, nodes in new_nodes.items():
-                for compiled, source_id, predicate in dispatch.consumers_by_id(state_id):
+                for slot, predicate in dispatch.consumers_by_id(state_id):
                     key = predicate.left_key(tup)  # the current tuple will be the earlier one
                     if key is None:
                         continue
-                    entry_key = (compiled.index, source_id, key)
+                    entry_key = (slot, key)
                     pair = hash_table.get(entry_key)
                     if pair is None:
                         entry = None

@@ -353,6 +353,18 @@ class EqualityPredicate(BinaryPredicate):
     def right_key(self, tup: Tuple) -> Optional[Key]:
         raise NotImplementedError
 
+    def left_signature(self) -> Hashable:
+        """A hashable value such that equal signatures imply equal left keys.
+
+        Two predicates with equal signatures return the same
+        :meth:`left_key` on every tuple, so the streaming engines keep one
+        run-index slot for all transitions that read the same source state
+        through such predicates.  The default is the predicate itself (equal
+        predicates have equal left keys); the built-in subclasses return the
+        left half of their key tables, computed once at construction.
+        """
+        return self
+
     def holds(self, first: Tuple, second: Tuple) -> bool:
         left = self.left_key(first)
         if left is None:
@@ -377,6 +389,9 @@ class TrueEquality(EqualityPredicate):
 
     def right_key(self, tup: Tuple) -> Optional[Key]:
         return ()
+
+    def left_signature(self) -> Hashable:
+        return ("true",)
 
     def __str__(self) -> str:
         return "true"
@@ -419,6 +434,12 @@ class ProjectionEquality(EqualityPredicate):
         # precomputed instead of re-derived with generator expressions.
         object.__setattr__(self, "_left_fast", _projection_fast_table(self.left_spec))
         object.__setattr__(self, "_right_fast", _projection_fast_table(self.right_spec))
+        object.__setattr__(
+            self, "_left_signature", ("projection", *sorted(self.left_spec.items()))
+        )
+
+    def left_signature(self) -> Hashable:
+        return self._left_signature
 
     # left_key/right_key are deliberately twin bodies over the two fast
     # tables (a shared helper would put one more call on the evaluator's
@@ -549,8 +570,14 @@ class AtomKeyEquality(EqualityPredicate):
         shared: Sequence[Variable],
     ) -> None:
         """Store both sides' tables (see :func:`_atom_key_table` for ``left``/``right``)."""
-        object.__setattr__(self, "_left_table", _atom_key_table(left, shared))
+        left_table = _atom_key_table(left, shared)
+        object.__setattr__(self, "_left_table", left_table)
         object.__setattr__(self, "_right_table", _atom_key_table(right, shared))
+        # The left table alone determines left_key.
+        object.__setattr__(self, "_left_signature", ("atoms", *left_table.items()))
+
+    def left_signature(self) -> Hashable:
+        return self._left_signature
 
     # left_key/right_key are deliberately twin bodies over the two tables (a
     # shared helper would put one more call on the evaluator's hottest path);

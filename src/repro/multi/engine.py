@@ -361,14 +361,14 @@ class MultiQueryEngine(RuntimeBackedEngine):
                     children: List[NodeRef] = []
                     node_ms = position
                     feasible = True
-                    for _, source_id, predicate in compiled.joins:
+                    for slot, predicate in compiled.probes:
                         key = predicate.right_key(tup)
                         if stats is not None:
                             stats.hash_lookups += 1
                         if key is None:
                             feasible = False
                             break
-                        pair = hash_table.get((compiled.index, source_id, key))
+                        pair = hash_table.get((slot, key))
                         if pair is None or position - pair[1] > window:
                             feasible = False
                             break
@@ -432,14 +432,14 @@ class MultiQueryEngine(RuntimeBackedEngine):
                 children = []
                 node_ms = position
                 feasible = True
-                for _, source_id, predicate in compiled.joins:
+                for slot, predicate in compiled.probes:
                     key = predicate.right_key(tup)  # the current tuple is the later one
                     if stats is not None:
                         stats.hash_lookups += 1
                     if key is None:
                         feasible = False
                         break
-                    pair = hash_table.get((compiled.index, source_id, key))
+                    pair = hash_table.get((slot, key))
                     if pair is None or position - pair[1] > window:
                         feasible = False
                         break
@@ -486,11 +486,11 @@ class MultiQueryEngine(RuntimeBackedEngine):
                 lane_id = lane.lane_id
                 consumers_by_id = lane.dispatch.consumers_by_id
                 for state_id, nodes in lane_nodes.items():
-                    for compiled, source_id, predicate in consumers_by_id(state_id):
+                    for slot, predicate in consumers_by_id(state_id):
                         key = predicate.left_key(tup)  # this tuple will be the earlier one
                         if key is None:
                             continue
-                        entry_key = (compiled.index, source_id, key)
+                        entry_key = (slot, key)
                         pair = hash_table.get(entry_key)
                         if pair is None:
                             entry_node = None

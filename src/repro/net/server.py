@@ -68,6 +68,11 @@ from repro.runtime.frames import (
 #: connection is dropped outright (a peer that never reads its socket).
 _CONTROL_BACKSTOP = 4
 
+#: Seconds a closing connection may spend flushing its outbox.  A peer that
+#: does not read keeps ``drain()`` parked forever, so past this deadline the
+#: transport is aborted and the connection cleaned up regardless.
+_CLOSE_FLUSH_TIMEOUT = 1.0
+
 
 class SingleEngineFeed:
     """Adapt a single-query evaluator to the multi-shaped server feed.
@@ -608,8 +613,7 @@ class IngestServer:
         if client.closing or client.closed:
             return
         client.outbox.append(encode_frame(protocol.error(reason)))
-        client.closing = True
-        client.outbox_event.set()
+        self._begin_close(client)
         if (
             client.reader_task is not None
             and client.reader_task is not asyncio.current_task()
@@ -620,8 +624,22 @@ class IngestServer:
         """Peer went away: no error frame, just flush and clean up."""
         if client.closing or client.closed:
             return
+        self._begin_close(client)
+
+    def _begin_close(self, client: _Client) -> None:
+        """Let the write loop flush and exit, within :data:`_CLOSE_FLUSH_TIMEOUT`."""
         client.closing = True
         client.outbox_event.set()
+        asyncio.get_running_loop().call_later(
+            _CLOSE_FLUSH_TIMEOUT, self._abort_stalled, client
+        )
+
+    @staticmethod
+    def _abort_stalled(client: _Client) -> None:
+        # Aborting wakes a drain() parked on the non-reading peer; the write
+        # loop then exits through its ``finally`` and runs _cleanup.
+        if not client.closed:
+            client.writer.transport.abort()
 
     async def _cleanup(self, client: _Client) -> None:
         if client.closed:

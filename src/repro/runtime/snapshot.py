@@ -38,8 +38,10 @@ from repro.cq.query import Atom, Variable
 from repro.cq.schema import Tuple
 
 
-#: Bumped when the snapshot tree layout changes incompatibly.
-SNAPSHOT_VERSION = 1
+#: Bumped when the snapshot tree layout changes incompatibly.  Version 2:
+#: run-index hash keys are ``(slot, key)``, one entry per source state and
+#: left key (:mod:`repro.core.dispatch`), not ``(transition, source, key)``.
+SNAPSHOT_VERSION = 2
 
 
 class SnapshotError(ValueError):

@@ -13,9 +13,12 @@ from repro.core.evaluation import StreamingEvaluator
 from repro.core.hcq_to_pcea import hcq_to_pcea
 from repro.core.pcea import PCEA, PCEATransition
 from repro.core.predicates import (
+    AtomJoinEquality,
     AtomUnaryPredicate,
     AttributeFilter,
     LambdaUnaryPredicate,
+    OrderPredicate,
+    ProjectionEquality,
     RelationPredicate,
     TruePredicate,
     TrueEquality,
@@ -109,10 +112,12 @@ class TestTransitionDispatchIndex:
         index = TransitionDispatchIndex(pcea.transitions, final=pcea.final)
         consumers = index.consumers("a")
         assert len(consumers) == 1
-        compiled, source_id, predicate = consumers[0]
-        assert compiled.index == 1
-        assert source_id == index.state_ids["a"]
+        slot, predicate = consumers[0]
         assert isinstance(predicate, TrueEquality)
+        # The one consumer (transition 1) probes exactly that slot.
+        by_index = {c.index: c for c in index.all_transitions()}
+        assert by_index[1].joins == (("a", index.state_ids["a"], predicate),)
+        assert by_index[1].probes == ((slot, predicate),)
         assert index.consumers("b") == ()
         assert index.consumers("missing") == ()
 
@@ -285,6 +290,110 @@ class TestIndexedEngineDifferential:
         indexed = StreamingEvaluator(pcea, window=len(stream) + 1)
         for position, tup in enumerate(stream):
             assert set(indexed.process(tup)) == naive[position]
+
+
+class TestSharedRunIndexSlots:
+    """The run index is keyed by (source state, left-key signature) slots."""
+
+    @pytest.mark.parametrize("arms", [2, 3, 4, 5])
+    def test_star_has_one_slot_per_arm_state(self, arms):
+        index = hcq_to_pcea(star_query(arms)).dispatch_index()
+        sources = {source_id for c in index.all_transitions() for _, source_id, _ in c.joins}
+        assert len(sources) == arms
+        # Each arm state is read by the arms - 1 other join transitions, all
+        # keyed by the star variable: one slot, not arms - 1 entries.
+        for source_id in sources:
+            assert len(index.consumers_by_id(source_id)) == 1
+        assert index.slot_count == arms
+        probed = [slot for c in index.all_transitions() for slot, _ in c.probes]
+        assert len(probed) == arms * (arms - 1)
+        assert sorted(set(probed)) == list(range(arms))
+
+    def test_star_run_is_stored_once(self):
+        arms = 4
+        engine = StreamingEvaluator(hcq_to_pcea(star_query(arms)), window=10)
+        engine.process(Tuple("A1", (0, 5)))
+        assert engine.stats.hash_updates == 1
+        assert engine.hash_table_size() == 1
+        engine.process(Tuple("A2", (0, 6)))
+        assert engine.stats.hash_updates == 2
+        assert engine.hash_table_size() == 2
+
+    def test_different_left_positions_never_share(self):
+        t_x_y, t_y_x, s_x = Atom("T", (X, Y)), Atom("T", (Y, X)), Atom("S", (X,))
+        first = AtomJoinEquality(t_x_y, s_x)  # left key: T position 0
+        swapped = AtomJoinEquality(t_y_x, s_x)  # left key: T position 1
+        same_left = ProjectionEquality({"T": (0,)}, {"R": (1,)})
+        other_left = ProjectionEquality({"T": (1,)}, {"R": (1,)})
+        pcea = PCEA(
+            states={"a", "b", "c", "d", "e"},
+            transitions=[
+                PCEATransition(set(), RelationPredicate("T"), {}, {"t"}, "a"),
+                PCEATransition({"a"}, RelationPredicate("S"), {"a": first}, {"s"}, "b"),
+                PCEATransition({"a"}, RelationPredicate("S"), {"a": swapped}, {"s"}, "c"),
+                PCEATransition({"a"}, RelationPredicate("R"), {"a": same_left}, {"r"}, "d"),
+                PCEATransition({"a"}, RelationPredicate("R"), {"a": other_left}, {"r"}, "e"),
+            ],
+            final={"b", "c", "d", "e"},
+        )
+        index = TransitionDispatchIndex(pcea.transitions, final=pcea.final)
+        slots = {c.index: c.probes[0][0] for c in index.all_transitions() if c.probes}
+        assert len(set(slots.values())) == 4
+        assert first.left_signature() != swapped.left_signature()
+        assert same_left.left_signature() != other_left.left_signature()
+        # Equal left sides do share, whatever the right side.
+        assert same_left.left_signature() == ProjectionEquality(
+            {"T": (0,)}, {"S": (0,)}
+        ).left_signature()
+        # After T(1, 2), each later tuple fires exactly one of the consumers.
+        stream = [
+            Tuple("T", (1, 2)),
+            Tuple("S", (1,)),
+            Tuple("S", (2,)),
+            Tuple("R", (0, 2)),
+            Tuple("R", (0, 1)),
+        ]
+        naive = pcea.outputs_upto(stream, len(stream) - 1, window=10)
+        assert [len(naive[position]) for position in range(len(stream))] == [0, 1, 1, 1, 1]
+        engine = StreamingEvaluator(pcea, window=10)
+        for position, tup in enumerate(stream):
+            assert set(engine.process(tup)) == naive[position]
+
+    def test_constants_and_repeated_variables_never_share(self):
+        plain = AtomJoinEquality(Atom("T", (X, Y)), Atom("S", (X,)))
+        constant = AtomJoinEquality(Atom("T", (X, 1)), Atom("S", (X,)))
+        repeated = AtomJoinEquality(Atom("T", (X, X)), Atom("S", (X,)))
+        renamed = AtomJoinEquality(Atom("T", (Y, X)), Atom("S", (Y,)))
+        signatures = [p.left_signature() for p in (plain, constant, repeated)]
+        assert len(set(signatures)) == 3
+        # Renaming variables changes nothing the key reads.
+        assert renamed.left_signature() == plain.left_signature()
+
+    def test_state_and_predicate_kinds_split_slots(self):
+        # The same left side read from two states, and non-equality joins
+        # (general evaluator only), each get a slot of their own.
+        order = OrderPredicate("T", 0, "<", "S", 0)
+        pcea = PCEA(
+            states={"a", "b", "c", "d"},
+            transitions=[
+                PCEATransition(set(), RelationPredicate("T"), {}, {"t"}, "a"),
+                PCEATransition(set(), RelationPredicate("T"), {}, {"t"}, "b"),
+                PCEATransition(
+                    {"a", "b"},
+                    RelationPredicate("S"),
+                    {"a": TrueEquality(), "b": TrueEquality()},
+                    {"s"},
+                    "c",
+                ),
+                PCEATransition({"a"}, RelationPredicate("S"), {"a": order}, {"s"}, "d"),
+                PCEATransition({"a"}, RelationPredicate("R"), {"a": order}, {"r"}, "d"),
+            ],
+            final={"c", "d"},
+        )
+        index = TransitionDispatchIndex(pcea.transitions, final=pcea.final)
+        probes = [slot for c in index.all_transitions() for slot, _ in c.probes]
+        assert len(probes) == len(set(probes)) == 4
+        assert len(index.consumers("a")) == 3
 
 
 class TestHashEviction:

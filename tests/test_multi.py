@@ -8,10 +8,11 @@ eviction, batched ingestion, and with predicate memoisation on or off.
 """
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.evaluation import NotEqualityPredicateError, StreamingEvaluator
 from repro.cq.hierarchical import NotHierarchicalError
-from repro.cq.schema import Tuple
+from repro.cq.schema import Schema, Tuple
 from repro.engine.dsl import atom, conjunction, sequence
 from repro.multi import (
     MergedDispatchIndex,
@@ -22,7 +23,7 @@ from repro.multi import (
 )
 from repro.streams.generators import random_stream
 
-from helpers import QUERY_Q0, SIGMA0
+from helpers import QUERY_Q0, SIGMA0, tuples_strategy
 
 
 #: A varied bundle of registerable queries over the σ0 relations (T/1, S/2, R/2).
@@ -395,3 +396,74 @@ class TestEngineIntrospection:
             engine.process(tup)
         assert engine.stats.tuples_processed == 0
         assert engine.stats.predicate_evaluations == 0
+
+
+# --------------------------------------------------------------------------
+#: Branching queries whose PCEA states have several consumers: the engines key
+#: their run index by (source state, left key) slots shared across consumers.
+BRANCHING_SCHEMA = Schema({"R": 2, "S": 2, "T": 2, "U": 1})
+BRANCHING_QUERIES = [
+    "Q3(x, a, b, c) <- R(x, a), S(x, b), T(x, c)",
+    "Q4(x, a, b, c) <- R(x, a), S(x, b), T(x, c), U(x)",
+    # Nested q-tree: x -> {U, y -> {R, S}, z -> {T}}.
+    "QN(x, y, z) <- R(x, y), S(x, y), T(x, z), U(x)",
+    # A constant and a repeated variable (residual atom matches in the keys).
+    "QC(x, y) <- R(x, 1), S(x, y), T(x, x)",
+    # A self join (Lemma B.4 predicates).
+    "QJ(x, y, z) <- R(x, y), R(x, z), S(x, y)",
+    conjunction(
+        atom("R", "x", "a", filters=[("a", ">", 0)]),
+        atom("S", "x", "b"),
+        atom("T", "x", "c", filters=[("c", "<", 1)]),
+        atom("U", "x"),
+    ),
+]
+
+
+class TestSharedSlotDifferential:
+    """Every path agrees with the naive PCEA semantics on branching queries.
+
+    The general evaluator never reads the run index, so it is an independent
+    check of the slot-keyed hierarchical engines (single with and without the
+    arena, multi, sharded-inline).
+    """
+
+    # At least 8 tuples over a 2-value domain, so most examples complete a
+    # match of most queries (the naive reference bounds the length).
+    @settings(max_examples=60, deadline=None)
+    @given(
+        stream=st.lists(tuples_strategy(BRANCHING_SCHEMA, domain=2), min_size=8, max_size=16),
+        window=st.integers(min_value=6, max_value=16),
+    )
+    def test_all_paths_match_naive(self, stream, window):
+        from repro.extensions.general_evaluation import GeneralStreamingEvaluator
+        from repro.shard import ShardedEngine
+
+        last = len(stream) - 1
+        multi = MultiQueryEngine()
+        handles = [multi.register(query, window=window) for query in BRANCHING_QUERIES]
+        multi_out = [multi.process(tup) for tup in stream]
+        with ShardedEngine(2, start_method="inline") as sharded:
+            sharded_handles = sharded.register_many(
+                [(query, window) for query in BRANCHING_QUERIES]
+            )
+            sharded_out = sharded.process_many(stream)
+        for query, handle, sharded_handle in zip(BRANCHING_QUERIES, handles, sharded_handles):
+            pcea = compile_query(query)
+            naive = pcea.outputs_upto(stream, last, window=window)
+            engines = [
+                StreamingEvaluator(pcea, window=window),
+                StreamingEvaluator(pcea, window=window, arena=False),
+                GeneralStreamingEvaluator(pcea, window=window),
+            ]
+            for position, tup in enumerate(stream):
+                expected = naive[position]
+                single = engines[0].process(tup)
+                assert len(single) == len(expected)  # unambiguous: no duplicates
+                assert set(single) == expected, (query, position)
+                for engine in engines[1:]:
+                    assert set(engine.process(tup)) == expected, (query, position, engine)
+                assert multi_out[position].get(handle.id, []) == single
+                assert sorted(map(str, sharded_out[position].get(sharded_handle.id, []))) == (
+                    sorted(map(str, single))
+                )

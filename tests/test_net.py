@@ -633,6 +633,9 @@ class TestFlowControl:
         while time.time() < deadline and st.server.observe()["clients"] > 0:
             time.sleep(0.05)
         assert st.server.observe()["clients"] == 0  # the laggard was dropped
+        # ... and its subscription released, so the engine stops evaluating it.
+        assert st.server.observe()["subscriptions"] == 0
+        assert st.server.engine.handles() == []
         # The server still serves new clients after shedding one.
         with IngestClient(st.host, st.port) as client:
             client.subscribe(QUERY_A, WINDOW)

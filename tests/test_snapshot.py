@@ -407,3 +407,56 @@ class TestSignatureStrictness:
         with pytest.raises(SnapshotError):
             fresh.restore(snap)
         assert fresh.position == -1 and fresh.hash_table_size() == 0
+
+
+class TestVersionGate:
+    """Version 1 keyed run-index entries ``(transition, source, key)``; version
+    2 keys them ``(slot, key)``.  The dispatch signature did not change, so a
+    version-1 checkpoint would verify and then miss every probe: the version
+    check must refuse it, for full and for partial (rebalance) snapshots."""
+
+    STAR = "Q(x, a, b) <- R(x, a), S(x, b), T(x)"
+
+    def _stream(self):
+        rng = random.Random(4)
+        return [
+            Tuple(rng.choice("RS"), (rng.randrange(2), rng.randrange(2)))
+            if rng.random() < 0.7
+            else Tuple("T", (rng.randrange(2),))
+            for _ in range(30)
+        ]
+
+    def _single(self):
+        return StreamingEvaluator(hcq_to_pcea(parse_query(self.STAR)), window=9)
+
+    def _multi(self):
+        engine = MultiQueryEngine()
+        engine.register(self.STAR, window=9)
+        return engine
+
+    @pytest.mark.parametrize("build", ["_single", "_multi"])
+    def test_version_one_full_snapshot_rejected(self, build):
+        original = getattr(self, build)()
+        for tup in self._stream():
+            original.process(tup)
+        snap = roundtrip(original.snapshot(), "json")
+        snap["snapshot_version"] = 1
+        fresh = getattr(self, build)()
+        with pytest.raises(SnapshotError, match="snapshot version 1 is not supported"):
+            fresh.restore(snap)
+        assert fresh.position == -1 and fresh.hash_table_size() == 0
+
+    def test_version_one_partial_snapshot_rejected(self):
+        source, target = MultiQueryEngine(), MultiQueryEngine()
+        handle = source.register(self.STAR, window=9)
+        stream = self._stream()
+        source.process_many(stream)
+        target.process_many(stream)
+        partial = roundtrip(source.extract_queries([handle]), "json")
+        partial["snapshot_version"] = 1
+        adopted = target.register(self.STAR, window=9)
+        with pytest.raises(
+            SnapshotError, match="partial snapshot version 1 is not supported"
+        ):
+            target.adopt_queries(partial, [adopted])
+        assert target.hash_table_size() == 0
